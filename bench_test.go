@@ -91,7 +91,7 @@ func graphFor(b *testing.B, name string) *ddg.Graph {
 
 func runOnce(b *testing.B, g *ddg.Graph, cfg soc.Config) *soc.RunResult {
 	b.Helper()
-	r, err := soc.RunGraph(g, cfg)
+	r, err := soc.Run(soc.Compile(g), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			if _, err := soc.RunGraph(g, cfg); err != nil {
+			if _, err := soc.Run(soc.Compile(g), cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", k.Name, err)
 				os.Exit(1)
 			}

@@ -22,8 +22,9 @@
 // appends each finished span as one JSON line, and -pprof exposes the
 // net/http/pprof and runtime-metrics endpoints under /debug/.
 //
-// SIGINT/SIGTERM trigger a graceful drain: in-flight sweeps finish (up to
-// -drain), then the worker pool exits.
+// SIGINT/SIGTERM trigger a graceful drain: running jobs are interrupted
+// (and resume on the next boot with -store), and in-flight sweeps finish,
+// up to -drain.
 package main
 
 import (
@@ -50,7 +51,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "localhost:8347", "listen address")
-		workers   = flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "simulation slots: design points simulated at once across sweeps and jobs (0 = GOMAXPROCS)")
 		queue     = flag.Int("queue", 0, "concurrent sweep requests before 429 backpressure (0 = default)")
 		timeout   = flag.Duration("timeout", 0, "per-request budget (0 = default 2m)")
 		cacheN    = flag.Int("cache", 0, "max cached design points (0 = default 65536)")
@@ -172,7 +173,7 @@ func main() {
 		log.Printf("http shutdown: %v", err)
 	}
 	if err := s.Shutdown(dctx); err != nil {
-		log.Printf("pool shutdown: %v", err)
+		log.Printf("service shutdown: %v", err)
 	}
 	log.Printf("drained")
 }

@@ -24,7 +24,9 @@ type CachedPoint struct {
 	Schema int `json:"schema"`
 	// Aborted marks a robustness-layer abort (soc.ErrAborted): Kind holds
 	// the soc.AbortKind label, Err the abort message, Attempts how many
-	// runs the retry policy spent. Result is nil.
+	// runs the retry policy spent. Result is nil. A completed point records
+	// Attempts only when it needed a retry, so fault-free records keep
+	// their encoding.
 	Aborted  bool   `json:"aborted,omitempty"`
 	Kind     string `json:"kind,omitempty"`
 	Err      string `json:"err,omitempty"`
@@ -62,6 +64,26 @@ func DecodePoint(data []byte) (*CachedPoint, bool, error) {
 	return &cp, true, nil
 }
 
+// PointCache is what a sweep consults before simulating a design point and
+// informs afterwards: a durable store (StoreCache), or a service's
+// in-memory table that deduplicates concurrent callers. Implementations
+// must be safe for concurrent use.
+type PointCache interface {
+	// Claim returns the known outcome for cfg, or nil to hand the point to
+	// the caller, which must simulate it and Publish the outcome. Claim may
+	// block while another caller simulates the same point; it returns an
+	// error only when ctx ends first, and then the caller owns nothing.
+	Claim(ctx context.Context, cfg soc.Config) (*CachedPoint, error)
+	// Publish records the outcome of a point the caller claimed. A nil
+	// outcome (a genuine simulation error, or a run cut short by
+	// cancellation) releases the claim and caches nothing.
+	Publish(cfg soc.Config, cp *CachedPoint)
+	// Durable returns the result store backing the cache, or nil when
+	// there is none; Search takes its fingerprint kernel and checkpoint
+	// store from it.
+	Durable() *StoreCache
+}
+
 // StoreCache adapts a result store to design-point lookups for one kernel:
 // points are keyed by PointKey(Kernel, cfg), so the same store directory can
 // hold points from many kernels (and the service's job manifests) without
@@ -96,6 +118,26 @@ func (c *StoreCache) Put(cfg soc.Config, cp *CachedPoint) error {
 	}
 	return c.Store.Put(PointKey(c.Kernel, cfg), data)
 }
+
+// Claim serves a stored outcome; anything else, a store I/O error included,
+// is a miss. A store has no in-flight state, so Claim never blocks.
+func (c *StoreCache) Claim(_ context.Context, cfg soc.Config) (*CachedPoint, error) {
+	if cp, ok, err := c.Get(cfg); err == nil && ok {
+		return cp, nil
+	}
+	return nil, nil
+}
+
+// Publish writes a fresh outcome through. A failed write is dropped: the
+// point is simply simulated again next time.
+func (c *StoreCache) Publish(cfg soc.Config, cp *CachedPoint) {
+	if cp != nil {
+		_ = c.Put(cfg, cp)
+	}
+}
+
+// Durable returns c itself.
+func (c *StoreCache) Durable() *StoreCache { return c }
 
 // RetryPolicy bounds how a sweep retries an aborted design point before
 // recording it as failed. Only fault-injection aborts are retried: the
@@ -144,8 +186,9 @@ func (p RetryPolicy) Delay(n int) time.Duration {
 
 // runPoint runs one design point under the retry policy. It returns the
 // result, the number of attempts spent, and the final error (nil on
-// success). The context bounds backoff sleeps; a run itself is never
-// interrupted mid-simulation.
+// success). The context bounds backoff sleeps: a cancellation during one
+// returns ctx.Err(), since the abort it would retry is not the point's
+// final outcome. A run itself is never interrupted mid-simulation.
 func runPoint(ctx context.Context, r *soc.Runner, k *soc.Compiled, cfg soc.Config, p RetryPolicy) (*soc.RunResult, int, error) {
 	attempts := 0
 	for {
@@ -163,11 +206,11 @@ func runPoint(ctx context.Context, r *soc.Runner, k *soc.Compiled, cfg soc.Confi
 			select {
 			case <-ctx.Done():
 				t.Stop()
-				return nil, attempts, err
+				return nil, attempts, ctx.Err()
 			case <-t.C:
 			}
 		}
-		if ctx.Err() != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, attempts, err
 		}
 	}

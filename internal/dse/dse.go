@@ -50,11 +50,11 @@ type SweepOptions struct {
 	// Progress, when non-nil, is called after each completed point with
 	// (done, total); calls are serialized but may come from any worker.
 	Progress func(done, total int)
-	// Cache, when non-nil, serves previously stored point outcomes and
-	// writes fresh ones through to the result store, making the sweep
-	// restartable: a rerun against the same store directory re-simulates
-	// only the points the interrupted run never finished.
-	Cache *StoreCache
+	// Cache, when non-nil, serves known point outcomes and records fresh
+	// ones. With a StoreCache the sweep is restartable: a rerun against the
+	// same store directory re-simulates only the points the interrupted run
+	// never finished.
+	Cache PointCache
 	// Retry bounds per-point retries of fault-injection aborts before the
 	// point is recorded as failed. The zero value never retries.
 	Retry RetryPolicy
@@ -124,66 +124,65 @@ func sweepCore(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, opts Swe
 				ps.SetAttr("index", i)
 				ps.SetAttr("lanes", cfgs[i].Lanes)
 
-				// Serve the point from the durable store when possible —
-				// stored failures replay as cheaply as stored successes.
+				// Serve the point from the cache when possible — stored
+				// failures replay as cheaply as stored successes. A claimed
+				// point is this worker's to simulate and publish.
 				var res *soc.RunResult
 				var err error
-				var cachedKind string
+				var known *CachedPoint
 				attempts := 0
-				cached := false
+				claimed := false
 				if opts.Cache != nil {
-					if cp, ok, gerr := opts.Cache.Get(cfgs[i]); gerr == nil && ok {
-						cached = true
-						ps.SetAttr("cached", true)
-						if opts.cached != nil {
-							opts.cached.Add(1)
-						}
-						if cp.Aborted {
-							// Replay the stored failure; the typed error
-							// chain is gone, so the classified kind rides
-							// alongside.
-							err = fmt.Errorf("%s: %w", cp.Err, soc.ErrAborted)
-							cachedKind = cp.Kind
-							attempts = cp.Attempts
-						} else {
-							res = cp.Result
-						}
+					known, err = opts.Cache.Claim(obs.WithSpan(ctx, ps), cfgs[i])
+					if err != nil {
+						errs[i] = err
+						ps.EndSpan()
+						continue
 					}
+					claimed = known == nil
 				}
-				if !cached {
+				switch {
+				case known == nil:
 					res, attempts, err = runPoint(ctx, &r, k, cfgs[i], opts.Retry)
+				case known.Aborted:
+					// Replay the stored failure; the typed error chain is
+					// gone, so the classified kind rides alongside.
+					err = fmt.Errorf("%s: %w", known.Err, soc.ErrAborted)
+					attempts = known.Attempts
+				default:
+					res = known.Result
+				}
+				if known != nil {
+					ps.SetAttr("cached", true)
+					if opts.cached != nil {
+						opts.cached.Add(1)
+					}
 				}
 
 				switch {
 				case err == nil:
 					out[i] = Point{Cfg: cfgs[i], Res: res}
 					ps.SetAttr("cycles", res.Cycles)
-					if !cached && opts.Cache != nil {
-						opts.Cache.Put(cfgs[i], &CachedPoint{Result: res})
-					}
 				case errors.Is(err, soc.ErrAborted):
-					kind := cachedKind
-					if kind == "" {
-						kind = soc.AbortKind(err)
+					kind := soc.AbortKind(err)
+					if known != nil {
+						kind = known.Kind
 					}
 					ps.SetAttr("aborted", true)
 					ps.SetAttr("kind", kind)
 					fails[i] = &PointFailure{Index: i, Cfg: cfgs[i], Kind: kind,
 						Err: err.Error(), Attempts: attempts}
-					if !cached && opts.Cache != nil {
-						opts.Cache.Put(cfgs[i], &CachedPoint{Aborted: true, Kind: kind,
-							Err: err.Error(), Attempts: attempts})
-					}
 				case isolate:
-					// A genuine simulation error isolates to this point but
-					// is never persisted: it may be environmental, and a
-					// future run deserves a fresh attempt.
+					// A genuine simulation error isolates to this point.
 					ps.SetAttr("error", err.Error())
 					fails[i] = &PointFailure{Index: i, Cfg: cfgs[i], Kind: "error",
 						Err: err.Error(), Attempts: attempts}
 				default:
 					errs[i] = fmt.Errorf("dse: config %d: %w", i, err)
 					ps.SetAttr("error", err.Error())
+				}
+				if claimed {
+					opts.Cache.Publish(cfgs[i], outcome(res, attempts, err))
 				}
 				ps.EndSpan()
 				if progress != nil {
@@ -217,6 +216,25 @@ func sweepCore(ctx context.Context, k *soc.Compiled, cfgs []soc.Config, opts Swe
 		}
 	}
 	return kept, failures, nil
+}
+
+// outcome is the cacheable form of a freshly simulated point: its result,
+// its classified abort, or nil for a genuine error, which is never cached —
+// it may be environmental, and a future run deserves a fresh attempt. A
+// result records its attempts only when it needed a retry.
+func outcome(res *soc.RunResult, attempts int, err error) *CachedPoint {
+	switch {
+	case err == nil:
+		cp := &CachedPoint{Result: res}
+		if attempts > 1 {
+			cp.Attempts = attempts
+		}
+		return cp
+	case errors.Is(err, soc.ErrAborted):
+		return &CachedPoint{Aborted: true, Kind: soc.AbortKind(err),
+			Err: err.Error(), Attempts: attempts}
+	}
+	return nil
 }
 
 // ParetoFront returns the points not dominated in (runtime, power): a

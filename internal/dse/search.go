@@ -216,14 +216,16 @@ type SearchOptions struct {
 	Workers int
 	// Retry bounds per-point retries of fault-injection aborts.
 	Retry RetryPolicy
-	// Cache serves previously stored point outcomes and writes fresh ones
-	// through, exactly as in SweepOptions; with a populated store a
-	// resumed or repeated search replays points instead of re-simulating.
-	Cache *StoreCache
-	// CheckpointKey, when non-empty (requires Cache), persists the
-	// frontier state under this key in Cache.Store after every round. A
-	// later Search with the same key, space, kernel, and seed restores the
-	// state and continues; a fingerprint mismatch starts fresh.
+	// Cache serves known point outcomes and records fresh ones, exactly as
+	// in SweepOptions; with a populated store a resumed or repeated search
+	// replays points instead of re-simulating. The cache's durable store
+	// (Cache.Durable) names the kernel in the search fingerprint.
+	Cache PointCache
+	// CheckpointKey, when non-empty (requires a Cache with a durable
+	// store), persists the frontier state under this key in that store
+	// after every round. A later Search with the same key, space, kernel,
+	// and seed restores the state and continues; a fingerprint mismatch
+	// starts fresh.
 	CheckpointKey string
 	// Progress, when non-nil, is called after every completed round — and,
 	// on resume, once per restored round (Replayed=true) before the live
@@ -364,9 +366,13 @@ func Search(ctx context.Context, k *soc.Compiled, space SearchSpace, opts Search
 		return nil, err
 	}
 	opts.setDefaults()
-	kernel := ""
+	var durable *StoreCache
 	if opts.Cache != nil {
-		kernel = opts.Cache.Kernel
+		durable = opts.Cache.Durable()
+	}
+	kernel := ""
+	if durable != nil {
+		kernel = durable.Kernel
 	}
 	fp := space.Fingerprint(kernel, opts.Seed)
 
@@ -382,7 +388,7 @@ func Search(ctx context.Context, k *soc.Compiled, space SearchSpace, opts Search
 	// Resume: restore the frontier state checkpointed by an earlier run of
 	// the same search, then replay its progress so stream consumers see the
 	// identical round sequence.
-	if st := loadSearchState(opts, fp); st != nil {
+	if st := loadSearchState(durable, opts.CheckpointKey, fp); st != nil {
 		round, stale, roundEvals = st.Round, st.Stale, st.RoundEvals
 		rng.state = st.RNG
 		archive = make([]candidate, len(st.Points))
@@ -488,7 +494,7 @@ func Search(ctx context.Context, k *soc.Compiled, space SearchSpace, opts Search
 		rs.SetAttr("front", len(newFront))
 		rs.EndSpan()
 
-		saveSearchState(opts, fp, &searchState{
+		saveSearchState(durable, opts.CheckpointKey, &searchState{
 			Schema:      searchSchema,
 			Fingerprint: fp,
 			Round:       round,
@@ -513,7 +519,7 @@ func Search(ctx context.Context, k *soc.Compiled, space SearchSpace, opts Search
 		return nil, fmt.Errorf("dse: search evaluated %d points, none survived: %w",
 			len(archive), ErrEmptySpace)
 	}
-	frontSpace, err := materialize(ctx, k, archive, frontIdx, opts.Cache)
+	frontSpace, err := materialize(ctx, k, archive, frontIdx, opts.Cache, opts.Retry)
 	if err != nil {
 		return nil, err
 	}
@@ -672,30 +678,40 @@ func archivePoints(archive []candidate) []SearchPoint {
 
 // materialize rebuilds full simulation results for the front: points
 // evaluated by this process carry them already, resumed points come back
-// from the store, and anything missing (a checkpoint ahead of a torn store)
-// re-simulates — deterministically the same result either way.
-func materialize(ctx context.Context, k *soc.Compiled, archive []candidate, front []int, cache *StoreCache) (Space, error) {
+// from the cache, and anything missing (a checkpoint ahead of a torn store)
+// re-simulates under the search's retry policy — deterministically the same
+// result either way.
+func materialize(ctx context.Context, k *soc.Compiled, archive []candidate, front []int, cache PointCache, retry RetryPolicy) (Space, error) {
 	out := make(Space, 0, len(front))
 	var r soc.Runner
 	for _, i := range front {
 		c := &archive[i]
 		res := c.res
+		claimed := false
 		if res == nil && cache != nil {
-			if cp, ok, err := cache.Get(c.cfg); err == nil && ok && !cp.Aborted {
-				res = cp.Result
-			}
-		}
-		if res == nil {
-			if err := ctx.Err(); err != nil {
+			cp, err := cache.Claim(ctx, c.cfg)
+			if err != nil {
 				return nil, err
 			}
-			var err error
-			res, err = r.Run(k, c.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("dse: re-materializing front point: %w", err)
+			if cp != nil {
+				res = cp.Result // nil for a stored abort: re-simulate unclaimed
 			}
-			if cache != nil {
-				cache.Put(c.cfg, &CachedPoint{Result: res})
+			claimed = cp == nil
+		}
+		if res == nil {
+			var attempts int
+			err := ctx.Err()
+			if err == nil {
+				res, attempts, err = runPoint(ctx, &r, k, c.cfg, retry)
+			}
+			if claimed {
+				cache.Publish(c.cfg, outcome(res, attempts, err))
+			}
+			if err != nil {
+				if ctx.Err() != nil {
+					return nil, err
+				}
+				return nil, fmt.Errorf("dse: re-materializing front point: %w", err)
 			}
 		}
 		out = append(out, Point{Cfg: c.cfg, Res: res})
@@ -705,11 +721,11 @@ func materialize(ctx context.Context, k *soc.Compiled, archive []candidate, fron
 
 // loadSearchState reads and validates the checkpoint; any miss, decode
 // failure, schema drift, or fingerprint mismatch is a fresh start.
-func loadSearchState(opts SearchOptions, fp string) *searchState {
-	if opts.CheckpointKey == "" || opts.Cache == nil {
+func loadSearchState(durable *StoreCache, key, fp string) *searchState {
+	if key == "" || durable == nil {
 		return nil
 	}
-	data, ok, err := opts.Cache.Store.Get(opts.CheckpointKey)
+	data, ok, err := durable.Store.Get(key)
 	if err != nil || !ok {
 		return nil
 	}
@@ -736,12 +752,12 @@ func loadSearchState(opts SearchOptions, fp string) *searchState {
 // saveSearchState persists the checkpoint; a write failure is deliberately
 // non-fatal (the search degrades to resume-from-an-earlier-round, and the
 // point cache still makes the replay cheap).
-func saveSearchState(opts SearchOptions, fp string, st *searchState) {
-	if opts.CheckpointKey == "" || opts.Cache == nil {
+func saveSearchState(durable *StoreCache, key string, st *searchState) {
+	if key == "" || durable == nil {
 		return
 	}
 	if data, err := json.Marshal(st); err == nil {
-		_ = opts.Cache.Store.Put(opts.CheckpointKey, data)
+		_ = durable.Store.Put(key, data)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestValidationErrorsWithinBand(t *testing.T) {
 	for _, name := range ValidationSuite() {
 		g := ddg.Build(machsuite.MustBuild(name))
 		cfg := baselineConfig()
-		r, err := soc.RunGraph(g, cfg)
+		r, err := soc.Run(soc.Compile(g), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestGoldenComputeAllKernels(t *testing.T) {
 	for _, name := range machsuite.Names() {
 		g := ddg.Build(machsuite.MustBuild(name))
 		cfg := baselineConfig()
-		r, err := soc.RunGraph(g, cfg)
+		r, err := soc.Run(soc.Compile(g), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,38 +64,6 @@ type request struct {
 	attempts int
 }
 
-// fifo is a request queue that recycles its backing array: pops advance a
-// head index instead of reslicing (which would strand capacity in front of
-// the slice and force every push to reallocate), and pushes compact the
-// live region back to the front before growing.
-type fifo struct {
-	buf  []request
-	head int
-}
-
-func (f *fifo) len() int { return len(f.buf) - f.head }
-
-func (f *fifo) push(r request) {
-	if f.head > 0 && len(f.buf) == cap(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		clear(f.buf[n:]) // drop callback references in the moved-from slots
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	f.buf = append(f.buf, r)
-}
-
-func (f *fifo) pop() request {
-	r := f.buf[f.head]
-	f.buf[f.head] = request{} // release callbacks left in spare capacity
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return r
-}
-
 // Continuation kinds for the release event: what to do with the released
 // transaction once its bus occupancy elapses. Storing a kind plus the
 // request in Bus fields (only one transaction holds the bus at a time)
@@ -134,10 +102,10 @@ type Bus struct {
 	eng    *sim.Engine
 	target Target
 
-	queues    []fifo // per-master FIFO
-	responses fifo   // read responses awaiting their data phase
-	rrNext    int    // next master to consider
-	granted   bool   // a transaction currently holds the bus
+	queues    []queue[request] // per-master FIFO
+	responses queue[request]   // read responses awaiting their data phase
+	rrNext    int              // next master to consider
+	granted   bool             // a transaction currently holds the bus
 	stats     Stats
 	probe     *obs.Probe
 	inj       *fault.Injector
@@ -210,7 +178,7 @@ func (b *Bus) pendingFor(req request) func() {
 
 // RegisterMaster allocates an arbitration slot and returns its id.
 func (b *Bus) RegisterMaster() int {
-	b.queues = append(b.queues, fifo{})
+	b.queues = append(b.queues, queue[request]{})
 	return len(b.queues) - 1
 }
 
@@ -436,7 +404,7 @@ func (b *Bus) dispatch(req request) {
 	case req.dataPhase:
 		// Read response: data beats only.
 		if req.progress != nil {
-			b.scheduleProgress(req, dataTicks)
+			spreadProgress(b.eng, req.progress, req.progressGran, 0, req.bytes, req.bytes, dataTicks)
 		}
 		b.releasePhase(req, dataTicks, "read-data", relDone, nil)
 
@@ -456,25 +424,6 @@ func (b *Bus) dispatch(req request) {
 		b.stats.BytesMoved += uint64(req.bytes)
 		b.stats.WaitTicks += b.eng.Now() - req.issued
 		b.releasePhase(req, b.cfg.Clock.Cycles(1), "read-addr", relReadAddr, nil)
-	}
-}
-
-// scheduleProgress spreads arrival notifications across a read data phase,
-// proportional to the bytes delivered.
-func (b *Bus) scheduleProgress(req request, dataTicks sim.Tick) {
-	total := req.bytes
-	gran := req.progressGran
-	for cum := gran; ; cum += gran {
-		if cum > total {
-			cum = total
-		}
-		frac := float64(cum) / float64(total)
-		at := sim.Tick(float64(dataTicks)*frac + 0.5)
-		cumCopy := cum
-		b.eng.After(at, func() { req.progress(cumCopy) })
-		if cum == total {
-			break
-		}
 	}
 }
 

@@ -48,43 +48,10 @@ type xreq struct {
 	attempts     int
 }
 
-// xfifo is the head-indexed compacting queue for *xreq (same recycling
-// discipline as the bus's fifo: pops advance a head, pushes compact before
-// growing, vacated slots are nilled so callbacks are not retained).
-type xfifo struct {
-	buf  []*xreq
-	head int
-}
-
-func (f *xfifo) len() int { return len(f.buf) - f.head }
-
-func (f *xfifo) push(r *xreq) {
-	if f.head > 0 && len(f.buf) == cap(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		clear(f.buf[n:])
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	f.buf = append(f.buf, r)
-}
-
-func (f *xfifo) peek() *xreq { return f.buf[f.head] }
-
-func (f *xfifo) pop() *xreq {
-	r := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return r
-}
-
 type xbarMaster struct {
-	reqs  xfifo // fresh requests, in order; a multi-burst head stays put
-	resps xfifo // read responses draining back; head stays put mid-transfer
-	busy  bool  // master channel currently granted to a route
+	reqs  queue[*xreq] // fresh requests, in order; a multi-burst head stays put
+	resps queue[*xreq] // read responses draining back; head stays put mid-transfer
+	busy  bool         // master channel currently granted to a route
 }
 
 type xbarSlave struct {
@@ -279,7 +246,7 @@ func (x *Crossbar) pickFor(s int) *xreq {
 			if ms.busy {
 				continue
 			}
-			var q *xfifo
+			var q *queue[*xreq]
 			if pass == 0 {
 				q = &ms.resps
 			} else {
@@ -338,7 +305,7 @@ func (x *Crossbar) grant(r *xreq) {
 		// Read response burst: data beats only on the response channel.
 		window := x.cfg.Clock.Cycles(beats)
 		if r.progress != nil {
-			x.burstProgress(r, chunk, window)
+			spreadProgress(x.eng, r.progress, r.progressGran, r.sent, r.sent+chunk, r.bytes, window)
 		}
 		last := r.sent+chunk == r.bytes
 		x.releaseRoute(r, window, "xbar-read-data", chunk, func() {
@@ -390,7 +357,7 @@ func (x *Crossbar) countIssue(r *xreq) {
 
 // popOf returns the queue currently heading r (used by the fault path to
 // remove a NACKed head before requeueing it at the back).
-func (x *Crossbar) popOf(r *xreq) *xfifo {
+func (x *Crossbar) popOf(r *xreq) *queue[*xreq] {
 	ms := &x.masters[r.master]
 	if ms.resps.len() > 0 && ms.resps.peek() == r {
 		return &ms.resps
@@ -419,36 +386,6 @@ func (x *Crossbar) releaseRoute(r *xreq, window sim.Tick, phase string, sent uin
 		}
 		x.arbitrate()
 	})
-}
-
-// burstProgress spreads arrival notifications across one response burst,
-// honoring the stream granularity against the cumulative byte count.
-func (x *Crossbar) burstProgress(r *xreq, chunk uint32, window sim.Tick) {
-	gran := r.progressGran
-	start := r.sent
-	end := r.sent + chunk
-	// First gran boundary at or beyond the first byte of this burst.
-	cum := ((start / gran) + 1) * gran
-	if end == r.bytes && cum > end {
-		cum = end // final burst always reports the tail
-	}
-	for cum <= end {
-		frac := float64(cum-start) / float64(chunk)
-		at := sim.Tick(float64(window)*frac + 0.5)
-		cumCopy := cum
-		x.eng.After(at, func() { r.progress(cumCopy) })
-		if cum == end {
-			break
-		}
-		cum += gran
-		if cum > end {
-			if end == r.bytes {
-				cum = end
-			} else {
-				break
-			}
-		}
-	}
 }
 
 var _ Fabric = (*Crossbar)(nil)

@@ -283,29 +283,10 @@ func (m *Mesh) forward(p *mpkt) {
 	if final && p.resp && p.progress != nil {
 		// The response's data flits drain across the last link: spread the
 		// stream notifications over that window.
-		m.hopProgress(p, arrive-now)
+		spreadProgress(m.eng, p.progress, p.progressGran, 0, p.bytes, p.bytes, arrive-now)
 	}
 	p.node = next
 	m.eng.After(arrive-now, func() { m.forward(p) })
-}
-
-// hopProgress spreads stream-arrival notifications across the final link
-// traversal window, proportional to the bytes delivered.
-func (m *Mesh) hopProgress(p *mpkt, window sim.Tick) {
-	total := p.bytes
-	gran := p.progressGran
-	for cum := gran; ; cum += gran {
-		if cum > total {
-			cum = total
-		}
-		frac := float64(cum) / float64(total)
-		at := sim.Tick(float64(window)*frac + 0.5)
-		cumCopy := cum
-		m.eng.After(at, func() { p.progress(cumCopy) })
-		if cum == total {
-			break
-		}
-	}
 }
 
 // deliver hands an arrived packet to its endpoint.

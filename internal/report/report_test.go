@@ -23,7 +23,7 @@ func sampleResult(t *testing.T) *soc.RunResult {
 		b.BeginIter()
 		b.Store(a, i, b.FAdd(b.Load(a, i), b.ConstF(1)))
 	}
-	r, err := soc.RunGraph(ddg.Build(b.Finish()), soc.DefaultConfig())
+	r, err := soc.Run(soc.Compile(ddg.Build(b.Finish())), soc.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func recordedResult(t *testing.T) *soc.RunResult {
 	}
 	cfg := soc.DefaultConfig()
 	cfg.RecordSchedule = true
-	r, err := soc.RunGraph(ddg.Build(b.Finish()), cfg)
+	r, err := soc.Run(soc.Compile(ddg.Build(b.Finish())), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ const jobKeyPrefix = "job/"
 // jobManifest is the durable record of one submitted job: enough to restart
 // it from scratch on a fresh process. Per-point progress is NOT in the
 // manifest — the write-through point records are the checkpoint, so a
-// resumed job re-acquires its grid and finds every already-simulated point
+// resumed job re-sweeps its grid and finds every already-simulated point
 // in the store.
 type jobManifest struct {
 	ID      string       `json:"id"`
@@ -43,8 +43,7 @@ type jobManifest struct {
 }
 
 // job is one long-running sweep: submitted via POST /jobs, simulated through
-// the same entry/singleflight layer as /sweep, pollable and streamable while
-// it runs.
+// the same point cache as /sweep, pollable and streamable while it runs.
 type job struct {
 	id      string
 	req     SweepRequest
@@ -53,27 +52,45 @@ type job struct {
 	resumed bool
 
 	cancel context.CancelFunc
-	// acquired closes once entries is populated; done closes when the job
-	// goroutine exits (terminal state or interruption).
-	acquired chan struct{}
-	done     chan struct{}
+	// started closes once the job starts claiming points (at once for a
+	// search job); done closes when the job goroutine exits (terminal
+	// state or interruption).
+	started chan struct{}
+	done    chan struct{}
 
 	// Guarded by Server.jmu.
 	state           string
 	errMsg          string
-	entries         []*entry
 	clientCancelled bool
+	// outcomes holds each grid point's outcome by grid index, nil while
+	// the point is pending.
+	outcomes []*dse.CachedPoint
+	// update is rotated (closed and replaced) whenever outcomes or
+	// searchLines grow, so tailing streamers wake up.
+	update chan struct{}
 
 	// Search-job state (req.Search != nil), guarded by Server.jmu. Stream
-	// lines accumulate as rounds complete; searchUpdate is rotated (closed
-	// and replaced) on every append so tailing streamers wake up.
+	// lines accumulate as rounds complete.
 	searchBudget    int
 	searchRound     int
 	searchEvaluated int
 	searchSimulated int
 	searchFrontSize int
 	searchLines     [][]byte
-	searchUpdate    chan struct{}
+}
+
+// wake rotates the job's update channel. Callers hold Server.jmu.
+func (j *job) wake() {
+	close(j.update)
+	j.update = make(chan struct{})
+}
+
+// setOutcome records grid point i's outcome and wakes tailing streamers.
+func (s *Server) setOutcome(j *job, i int, cp *dse.CachedPoint) {
+	s.jmu.Lock()
+	j.outcomes[i] = cp
+	j.wake()
+	s.jmu.Unlock()
 }
 
 // newJobID returns a 16-hex-char random job identifier.
@@ -112,9 +129,11 @@ func (s *Server) startJob(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.jmu.Lock()
 	j.cancel = cancel
+	j.update = make(chan struct{})
 	if j.req.Search != nil {
 		j.searchBudget = s.searchBudget(j.req.Search)
-		j.searchUpdate = make(chan struct{})
+	} else {
+		j.outcomes = make([]*dse.CachedPoint, len(j.cfgs))
 	}
 	s.jobs[j.id] = j
 	s.jmu.Unlock()
@@ -127,84 +146,65 @@ func (s *Server) startJob(j *job) {
 	}
 }
 
-// runJob drives one job to a terminal state: resolve the kernel, acquire
-// every grid point (the store serves already-finished ones instantly), wait
-// for the stragglers, and checkpoint the outcome. An interruption (server
-// shutdown) releases the job's claims and leaves the manifest "running" so
-// the next boot resumes it; a client cancellation is terminal.
+// runJob drives one grid job to a terminal state: resolve the kernel, run
+// the grid through dse.SweepIsolated over the job's view of the point cache
+// (the store serves already-finished points instantly), and checkpoint the
+// outcome. An interruption (server shutdown) leaves the manifest "running"
+// so the next boot resumes the job; a client cancellation is terminal.
 func (s *Server) runJob(ctx context.Context, j *job) {
 	defer s.wgJobs.Done()
 	defer s.activeJobs.Add(-1)
 	defer close(j.done)
 
-	// A cancellation may have raced submission.
 	if ctx.Err() != nil {
-		s.finishJob(j, jobCancelled, "")
+		s.stopJob(j)
 		return
 	}
-
 	k, err := s.kernelFor(j.req.Kernel)
 	if err != nil {
 		s.finishJob(j, jobFailed, err.Error())
 		return
 	}
 
-	entries := make([]*entry, len(j.cfgs))
-	byKey := make(map[string]*entry, len(j.cfgs))
-	var joined []*entry
-	for i, cfg := range j.cfgs {
-		key := dse.PointKey(j.req.Kernel, cfg)
-		if e, ok := byKey[key]; ok {
-			entries[i] = e
-			continue
-		}
-		e, join, _ := s.acquire(key, k, cfg, nil, 0)
-		entries[i] = e
-		byKey[key] = e
-		if join {
-			joined = append(joined, e)
-		}
+	cfgs := s.budgeted(j.cfgs)
+	view := s.view(j.req.Kernel)
+	view.job = j
+	view.index = make(map[string]int, len(cfgs))
+	for i, c := range cfgs {
+		view.index[dse.PointKey(j.req.Kernel, c)] = i
 	}
-	s.jmu.Lock()
-	j.entries = entries
-	s.jmu.Unlock()
-	close(j.acquired)
-
-	interrupted := false
-	for _, e := range byKey {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			interrupted = true
-		}
-		if interrupted {
-			break
-		}
-	}
-	// Dropping the claims lets workers skip any still-queued points.
-	s.release(joined)
-
-	if interrupted {
-		s.jmu.Lock()
-		cancelled := j.clientCancelled
-		s.jmu.Unlock()
-		if cancelled {
-			s.finishJob(j, jobCancelled, "")
-		} else {
-			// Shutdown interruption: the manifest stays "running" on disk,
-			// which is the resume signal for the next boot. Only the
-			// in-memory state flips so pollers on this process see it.
-			s.jmu.Lock()
-			j.state = jobRunning
-			s.jmu.Unlock()
-			if lg := s.opt.Logger; lg != nil {
-				lg.Info("job interrupted for shutdown; will resume on restart",
-					"job", j.id)
-			}
-		}
+	close(j.started)
+	_, fails, err := dse.SweepIsolated(ctx, k, cfgs,
+		dse.SweepOptions{Workers: s.opt.Workers, Cache: view, Retry: s.retry})
+	if err != nil {
+		s.stopJob(j)
 		return
 	}
+	// A genuine simulation error is never cached, so the view never saw
+	// it: take it from the sweep's failure list.
+	for _, f := range fails {
+		if f.Kind == "error" {
+			s.setOutcome(j, f.Index, &dse.CachedPoint{Kind: f.Kind, Err: f.Err, Attempts: f.Attempts})
+		}
+	}
 	s.finishJob(j, jobCompleted, "")
+}
+
+// stopJob settles a job whose context ended and reports whether a client
+// cancelled it, which is terminal. Otherwise the server is shutting down:
+// the manifest stays "running" on disk, the resume signal for the next boot.
+func (s *Server) stopJob(j *job) bool {
+	s.jmu.Lock()
+	cancelled := j.clientCancelled
+	s.jmu.Unlock()
+	if cancelled {
+		s.finishJob(j, jobCancelled, "")
+		return true
+	}
+	if lg := s.opt.Logger; lg != nil {
+		lg.Info("job interrupted for shutdown; will resume on restart", "job", j.id)
+	}
+	return false
 }
 
 // finishJob records a terminal state in memory, on disk, and in the stats.
@@ -259,7 +259,7 @@ func (s *Server) resumeJobs() {
 			// rather than resurrect it forever.
 			j := &job{id: m.ID, req: m.Request, created: m.Created,
 				state: jobFailed, errMsg: expandErr.Error(),
-				acquired: make(chan struct{}), done: make(chan struct{})}
+				started: make(chan struct{}), done: make(chan struct{})}
 			close(j.done)
 			s.jmu.Lock()
 			s.jobs[j.id] = j
@@ -270,7 +270,7 @@ func (s *Server) resumeJobs() {
 		}
 		j := &job{id: m.ID, req: m.Request, cfgs: cfgs, created: m.Created,
 			resumed: true, state: jobRunning,
-			acquired: make(chan struct{}), done: make(chan struct{})}
+			started: make(chan struct{}), done: make(chan struct{})}
 		s.jobsResumed.Add(1)
 		if lg := s.opt.Logger; lg != nil {
 			lg.Info("resuming interrupted job", "job", j.id,
@@ -336,24 +336,17 @@ func (s *Server) jobStatusOf(j *job) jobStatus {
 		s.jmu.Unlock()
 		return st
 	}
-	entries := j.entries
-	s.jmu.Unlock()
-	if entries == nil {
-		st.Pending = st.Points
-		return st
-	}
-	for _, e := range entries {
-		select {
-		case <-e.done:
-			if e.res != nil {
-				st.Completed++
-			} else {
-				st.Failed++
-			}
-		default:
+	for _, cp := range j.outcomes {
+		switch {
+		case cp == nil:
 			st.Pending++
+		case cp.Result != nil:
+			st.Completed++
+		default:
+			st.Failed++
 		}
 	}
+	s.jmu.Unlock()
 	return st
 }
 
@@ -418,7 +411,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := &job{id: id, req: req, cfgs: cfgs, created: time.Now(),
-		state: jobRunning, acquired: make(chan struct{}), done: make(chan struct{})}
+		state: jobRunning, started: make(chan struct{}), done: make(chan struct{})}
 	s.jobsSubmitted.Add(1)
 	s.putManifest(j, jobRunning, "")
 	s.startJob(j)
@@ -522,9 +515,9 @@ type jobSummaryLine struct {
 // enumerated).
 func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job) {
 	select {
-	case <-j.acquired:
+	case <-j.started:
 	case <-j.done:
-		// Terminal before acquiring any point (failed submission/resume).
+		// Terminal before claiming any point (failed submission/resume).
 		st := s.jobStatusOf(j)
 		if st.State == jobFailed || st.State == jobCancelled {
 			http.Error(w, fmt.Sprintf("job %s: %s", st.State, st.Error),
@@ -534,53 +527,32 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job
 	case <-r.Context().Done():
 		return
 	}
-	s.jmu.Lock()
-	entries := j.entries
-	s.jmu.Unlock()
-	if entries == nil {
-		http.Error(w, "job produced no points", http.StatusConflict)
-		return
-	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	space := make(dse.Space, 0, len(entries))
+	space := make(dse.Space, 0, len(j.cfgs))
 	var failures []jobResultLine
-	for i, e := range entries {
-		select {
-		case <-e.done:
-		case <-j.done:
-			// Interrupted or cancelled mid-stream: stop at the boundary.
-			select {
-			case <-e.done:
-			default:
-				return
-			}
-		case <-r.Context().Done():
+	for i := range j.cfgs {
+		cp := s.awaitOutcome(r.Context(), j, i)
+		if cp == nil {
+			// Interrupted, cancelled, or the client went away: stop at the
+			// boundary.
 			return
 		}
 		line := jobResultLine{Index: i}
-		switch {
-		case e.res != nil:
+		if cp.Result != nil {
 			line.Status = "ok"
-			rec := report.FromResult(j.req.Kernel, e.res)
+			rec := report.FromResult(j.req.Kernel, cp.Result)
 			line.Record = &rec
-			space = append(space, dse.Point{Cfg: j.cfgs[i], Res: e.res})
-		case e.aborted:
+			space = append(space, dse.Point{Cfg: j.cfgs[i], Res: cp.Result})
+		} else {
 			line.Status = "failed"
-			line.Kind = e.failKind
-			line.Error = e.failErr
-			line.Attempts = e.attempts
-			failures = append(failures, line)
-		default:
-			line.Status = "failed"
-			line.Kind = "error"
-			if e.err != nil {
-				line.Error = e.err.Error()
-			}
+			line.Kind = cp.Kind
+			line.Error = cp.Err
+			line.Attempts = cp.Attempts
 			failures = append(failures, line)
 		}
 		if err := enc.Encode(&line); err != nil {
@@ -593,7 +565,7 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job
 
 	sum := jobSummaryLine{
 		Status:    "summary",
-		Requested: len(entries),
+		Requested: len(j.cfgs),
 		Evaluated: len(space),
 		Failed:    len(failures),
 		Failures:  failures,
@@ -606,5 +578,27 @@ func (s *Server) streamJobResults(w http.ResponseWriter, r *http.Request, j *job
 	_ = enc.Encode(&sum)
 	if fl != nil {
 		fl.Flush()
+	}
+}
+
+// awaitOutcome blocks until grid point i of j resolves and returns its
+// outcome, or nil when the job ends without it or ctx ends first.
+func (s *Server) awaitOutcome(ctx context.Context, j *job, i int) *dse.CachedPoint {
+	for {
+		s.jmu.Lock()
+		cp, update := j.outcomes[i], j.update
+		s.jmu.Unlock()
+		if cp != nil {
+			return cp
+		}
+		select {
+		case <-update:
+		case <-j.done:
+			s.jmu.Lock()
+			defer s.jmu.Unlock()
+			return j.outcomes[i]
+		case <-ctx.Done():
+			return nil
+		}
 	}
 }

@@ -42,9 +42,9 @@ type SearchSpec struct {
 
 // searchSpace expands a search request into the dse.SearchSpace it runs
 // over. The server's per-point watchdog budget is folded into the base
-// config (the grid path applies it per worker instead), so it participates
-// in point keys and the checkpoint fingerprint: restarting the server with a
-// different -point-timeout starts the search fresh rather than resuming
+// config (as budgeted folds it into every grid point), so it participates
+// in point keys and the checkpoint fingerprint: restarting the server with
+// a different -point-timeout starts the search fresh rather than resuming
 // against differently-budgeted results.
 func (s *Server) searchSpace(req SweepRequest) (dse.SearchSpace, error) {
 	kind, err := req.memKind()
@@ -169,28 +169,28 @@ func (s *Server) appendSearchLine(j *job, line []byte, p *dse.SearchProgress) {
 		j.searchFrontSize = p.FrontSize
 	}
 	j.searchLines = append(j.searchLines, line)
-	close(j.searchUpdate)
-	j.searchUpdate = make(chan struct{})
+	j.wake()
 	s.jmu.Unlock()
 }
 
 // runSearchJob drives one adaptive-search job to a terminal state. Search
-// jobs run dse.Search on its own runner pool (sized like the server's) and
-// bypass the entry/singleflight layer — but share the durable store, so
-// their points warm the same cache grid sweeps use, and a resumed search
-// replays stored points instead of re-simulating them. Interruption
-// semantics mirror grid jobs: shutdown leaves the manifest "running" (the
-// boot-time resume signal) with the frontier checkpoint in the store; client
-// cancellation and completion are terminal and drop the checkpoint.
+// jobs run dse.Search over the same point cache, simulation slots and
+// counters as grid sweeps, so their points warm the cache grid sweeps use,
+// and a resumed search replays stored points instead of re-simulating them.
+// Interruption semantics mirror grid jobs: shutdown leaves the manifest
+// "running" (the boot-time resume signal) with the frontier checkpoint in
+// the store; client cancellation and completion are terminal and drop the
+// checkpoint.
 func (s *Server) runSearchJob(ctx context.Context, j *job) {
 	defer s.wgJobs.Done()
 	defer s.activeJobs.Add(-1)
 	defer close(j.done)
-	close(j.acquired) // no entry table: pollers must never block on it
+	close(j.started) // no per-point outcomes: pollers must never block on it
 
 	if ctx.Err() != nil {
-		s.finishJob(j, jobCancelled, "")
-		s.dropSearchState(j)
+		if s.stopJob(j) {
+			s.dropSearchState(j)
+		}
 		return
 	}
 	k, err := s.kernelFor(j.req.Kernel)
@@ -205,6 +205,8 @@ func (s *Server) runSearchJob(ctx context.Context, j *job) {
 	}
 
 	spec := j.req.Search
+	view := s.view(j.req.Kernel)
+	view.search = true
 	opts := dse.SearchOptions{
 		Seed:        spec.Seed,
 		Budget:      s.searchBudget(spec),
@@ -212,24 +214,15 @@ func (s *Server) runSearchJob(ctx context.Context, j *job) {
 		RoundSize:   spec.Round,
 		Patience:    spec.Patience,
 		Workers:     s.opt.Workers,
-		Retry: dse.RetryPolicy{
-			Max:     s.opt.MaxPointRetries,
-			Backoff: s.opt.PointRetryBackoff,
+		Retry:       s.retry,
+		Cache:       view,
+		Progress: func(p dse.SearchProgress) {
+			s.searchRounds.Add(1)
+			s.appendSearchLine(j, encodeSearchRound(sp, p), &p)
 		},
 	}
 	if s.opt.Store != nil {
-		opts.Cache = &dse.StoreCache{Kernel: j.req.Kernel, Store: s.opt.Store}
 		opts.CheckpointKey = searchKeyPrefix + j.id
-	}
-	lastSim := 0
-	opts.Progress = func(p dse.SearchProgress) {
-		s.searchRounds.Add(1)
-		if d := p.Simulated - lastSim; d > 0 {
-			s.pointsSimulated.Add(uint64(d))
-			s.searchPoints.Add(uint64(d))
-			lastSim = p.Simulated
-		}
-		s.appendSearchLine(j, encodeSearchRound(sp, p), &p)
 	}
 
 	sctx := ctx
@@ -245,23 +238,10 @@ func (s *Server) runSearchJob(ctx context.Context, j *job) {
 	res, err := dse.Search(sctx, k, sp, opts)
 	if err != nil {
 		if ctx.Err() != nil {
-			s.jmu.Lock()
-			cancelled := j.clientCancelled
-			s.jmu.Unlock()
-			if cancelled {
-				s.finishJob(j, jobCancelled, "")
+			// Client cancellation is terminal; on shutdown the frontier
+			// checkpoint stays in the store for the resume.
+			if s.stopJob(j) {
 				s.dropSearchState(j)
-			} else {
-				// Shutdown interruption: manifest stays "running" on disk and
-				// the frontier checkpoint stays in the store — together the
-				// resume signal for the next boot.
-				s.jmu.Lock()
-				j.state = jobRunning
-				s.jmu.Unlock()
-				if lg := s.opt.Logger; lg != nil {
-					lg.Info("search job interrupted for shutdown; will resume on restart",
-						"job", j.id)
-				}
 			}
 			return
 		}
@@ -320,7 +300,7 @@ func (s *Server) streamSearchResults(w http.ResponseWriter, r *http.Request, j *
 	for {
 		s.jmu.Lock()
 		lines := j.searchLines
-		update := j.searchUpdate
+		update := j.update
 		s.jmu.Unlock()
 		for ; next < len(lines); next++ {
 			if _, err := w.Write(lines[next]); err != nil {

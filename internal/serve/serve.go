@@ -1,11 +1,13 @@
 // Package serve turns the design-space explorer into a long-running HTTP
 // service: sweep-as-a-service. Clients POST a kernel name and a config grid
-// to /sweep and get back the Pareto front and EDP optimum as JSON; the
-// server runs the points on a bounded pool of reused soc.Runners, memoizes
-// every simulated design point in a content-addressed cache keyed by
-// dse.PointKey (canonical hash of kernel + soc.Config), and deduplicates
-// concurrent identical work singleflight-style, so N clients asking for the
-// same sweep cost one simulation per unique point.
+// to /sweep and get back the Pareto front and EDP optimum as JSON. Every
+// caller — /sweep, grid jobs and search jobs — runs its points through the
+// dse engine (dse.Sweep, dse.SweepIsolated, dse.Search) over the server's
+// point cache: a content-addressed table keyed by dse.PointKey (canonical
+// hash of kernel + soc.Config) that deduplicates concurrent identical work
+// singleflight-style, so N clients asking for the same sweep cost one
+// simulation per unique point, and whose Options.Workers simulation slots
+// bound every simulation the server runs.
 //
 // Operational behavior:
 //
@@ -13,11 +15,11 @@
 //     once; beyond that the server answers 429 with a Retry-After hint
 //     instead of queueing unboundedly.
 //   - Cancellation: each request carries a context (client disconnect or
-//     the request/server timeout); a cancelled request drops its claim on
-//     queued points, and points nobody still wants are skipped, so worker
-//     slots are released rather than burned on abandoned work.
-//   - Graceful shutdown: Shutdown stops admissions, drains in-flight
-//     sweeps, then joins the workers.
+//     the request/server timeout); a request cancelled while its points
+//     wait for a simulation slot gives up those points without creating
+//     them, so slots go to live work.
+//   - Graceful shutdown: Shutdown stops admissions, interrupts jobs and
+//     drains in-flight sweeps.
 //   - Observability: /statsz (gem5-style text, JSON on request) and
 //     /metrics (Prometheus exposition) expose an internal/obs registry
 //     with cache hit rate, queue depth, points/s, and p50/p99 sweep
@@ -28,9 +30,8 @@
 //     (log/slog) receives request, slow-point, and lifecycle records.
 //
 // Responses are bit-identical to a direct dse.Sweep over the same grid:
-// workers call (*soc.Runner).Run, which is verified bit-identical to
-// soc.Run, and aborted (fault-poisoned) points are compacted out of the
-// space in request order exactly as dse.Sweep does.
+// they come from dse.Sweep itself, and a cached outcome is the result the
+// same engine produced earlier.
 package serve
 
 import (
@@ -65,8 +66,9 @@ var ErrUnknownKernel = errors.New("serve: unknown kernel")
 // Options configures a Server. The zero value is usable: every field has a
 // default.
 type Options struct {
-	// Workers is the number of simulation workers, each owning one reused
-	// soc.Runner. Defaults to GOMAXPROCS.
+	// Workers is the number of simulation slots: at most this many design
+	// points simulate at once, across /sweep, grid jobs and search jobs.
+	// Defaults to GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds how many sweep requests may be admitted at once
 	// (queued or running). Further requests are rejected with 429 and a
@@ -93,14 +95,15 @@ type Options struct {
 	// PointBudget is the per-point no-progress watchdog budget in simulated
 	// ticks, applied to every point whose config does not set its own
 	// WatchdogTicks. A livelocked point aborts with a structured
-	// *sim.StallError instead of burning its worker until the request
+	// *sim.StallError instead of burning its slot until the request
 	// timeout. Zero disables the budget. The budget is deliberately
 	// virtual-time, not wall-clock: the same config fails (or passes)
 	// identically on every run, which keeps resumed jobs bit-identical.
 	PointBudget sim.Tick
-	// MaxPointRetries bounds how many times a worker retries a
-	// fault-injection abort before recording the point as failed (stalls
-	// and sanitizer violations never retry — they are deterministic).
+	// MaxPointRetries bounds how many times a point's simulation is
+	// retried after a fault-injection abort before the point is recorded
+	// as failed (stalls and sanitizer violations never retry — they are
+	// deterministic).
 	// Defaults to 2; negative disables retrying.
 	MaxPointRetries int
 	// PointRetryBackoff is the delay before the first retry, doubling per
@@ -179,17 +182,20 @@ type Server struct {
 	// admit holds one token per admitted request: the backpressure bound.
 	admit chan struct{}
 
-	// mu guards the point queue, the result cache, and entry waiter
-	// bookkeeping; cond signals workers when the queue grows.
+	// slots holds one token per running simulation: the server-wide bound
+	// on simulations, whichever caller runs them. waiting counts points
+	// queued for a slot.
+	slots   chan struct{}
+	waiting atomic.Int64
+	// retry is the one abort-retry policy every caller hands the dse engine.
+	retry dse.RetryPolicy
+
+	// mu guards the point table and its eviction order.
 	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      []*entry
-	qhead      int
 	cache      map[string]*entry
 	evictOrder []string
 	evictHead  int
 	closed     bool // Shutdown began: admit no new requests
-	closing    bool // requests drained: workers exit once the queue empties
 
 	gmu    sync.Mutex
 	graphs map[string]*graphEntry
@@ -198,9 +204,8 @@ type Server struct {
 	jmu  sync.Mutex
 	jobs map[string]*job
 
-	wgReq     sync.WaitGroup
-	wgWorkers sync.WaitGroup
-	wgJobs    sync.WaitGroup
+	wgReq  sync.WaitGroup
+	wgJobs sync.WaitGroup
 
 	start time.Time
 
@@ -211,7 +216,6 @@ type Server struct {
 	warmHits        atomic.Uint64
 	pointsSimulated atomic.Uint64
 	pointsAborted   atomic.Uint64
-	pointsAbandoned atomic.Uint64
 	pointRetries    atomic.Uint64
 	activeRequests  atomic.Int64
 
@@ -232,8 +236,8 @@ type Server struct {
 	latency *obs.Histogram
 }
 
-// New starts a Server: registers its statistics and launches the worker
-// pool. Callers own shutdown via Shutdown.
+// New starts a Server: registers its statistics and resumes interrupted
+// jobs. Callers own shutdown via Shutdown.
 func New(opt Options) *Server {
 	opt.setDefaults()
 	s := &Server{
@@ -241,21 +245,17 @@ func New(opt Options) *Server {
 		reg:    obs.NewRegistry(),
 		mux:    http.NewServeMux(),
 		admit:  make(chan struct{}, opt.QueueDepth),
+		slots:  make(chan struct{}, opt.Workers),
+		retry:  dse.RetryPolicy{Max: opt.MaxPointRetries, Backoff: opt.PointRetryBackoff},
 		cache:  make(map[string]*entry),
 		graphs: make(map[string]*graphEntry),
 		jobs:   make(map[string]*job),
 		start:  time.Now(),
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.registerStats()
 	s.routes()
-	s.wgWorkers.Add(opt.Workers)
-	for i := 0; i < opt.Workers; i++ {
-		go s.worker()
-	}
-	// Resume any jobs a previous process left running in the store. This
-	// happens after the workers start, so resumed points begin simulating
-	// immediately; already-finished points come back from the store.
+	// Resume any jobs a previous process left running in the store;
+	// already-finished points come back from the store.
 	s.resumeJobs()
 	if lg := s.opt.Logger; lg != nil {
 		lg.Info("sweep service started",
@@ -293,8 +293,7 @@ func (s *Server) registerStats() {
 	r.CounterFunc("serve.cache.warm_hits", "design points served from the durable store at first touch", s.warmHits.Load)
 	r.CounterFunc("serve.points.simulated", "design points actually simulated", s.pointsSimulated.Load)
 	r.CounterFunc("serve.points.aborted", "simulated points poisoned by the robustness layer", s.pointsAborted.Load)
-	r.CounterFunc("serve.points.abandoned", "queued points skipped after every requester cancelled", s.pointsAbandoned.Load)
-	r.CounterFunc("serve.points.retries", "fault-abort retries spent by workers", s.pointRetries.Load)
+	r.CounterFunc("serve.points.retries", "fault-abort retries spent on simulated points", s.pointRetries.Load)
 	r.CounterFunc("serve.jobs.submitted", "sweep jobs accepted via POST /jobs", s.jobsSubmitted.Load)
 	r.CounterFunc("serve.jobs.completed", "jobs that reached completion", s.jobsCompleted.Load)
 	r.CounterFunc("serve.jobs.failed", "jobs that failed terminally", s.jobsFailed.Load)
@@ -308,10 +307,8 @@ func (s *Server) registerStats() {
 	if s.opt.Store != nil {
 		s.opt.Store.RegisterStats(r, "store")
 	}
-	r.GaugeFunc("serve.queue.points", "design points queued awaiting a worker", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.queue) - s.qhead)
+	r.GaugeFunc("serve.queue.points", "design points waiting for a simulation slot", func() float64 {
+		return float64(s.waiting.Load())
 	})
 	r.Formula("serve.points.per_sec", "simulated points per second of uptime", func() float64 {
 		up := time.Since(s.start).Seconds()
@@ -504,7 +501,8 @@ func (req SweepRequest) baseConfig() (soc.Config, error) {
 	return base, nil
 }
 
-// fabricKinds parses the request's fabric axis into backend kinds.
+// fabricKinds parses the request's fabric axis into backend kinds, repeats
+// dropped.
 func (req SweepRequest) fabricKinds() ([]soc.FabricKind, error) {
 	kinds := make([]soc.FabricKind, 0, len(req.Fabrics))
 	for _, name := range req.Fabrics {
@@ -514,12 +512,37 @@ func (req SweepRequest) fabricKinds() ([]soc.FabricKind, error) {
 		}
 		kinds = append(kinds, k)
 	}
-	return kinds, nil
+	return unique(kinds), nil
 }
+
+// unique returns vs without repeats, in first-occurrence order; vs itself is
+// left untouched.
+func unique[T comparable](vs []T) []T {
+	seen := make(map[T]bool)
+	var out []T
+	for _, v := range vs {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// maxGridPoints caps the design points one grid request may expand to. The
+// full Fig 3 grid crossed with all three fabrics is 2,160 points; the cap
+// sits well above that while bounding what a small body can make the
+// server allocate.
+const maxGridPoints = 1 << 14
 
 // Configs expands the request into its design-point grid, exactly as
 // cmd/dse would build it. Exported so tests can replay the same grid
 // through dse.Sweep and demand bit-identical results.
+//
+// Repeated axis values are dropped, so the grid never holds a point twice,
+// and the grid's size is computed from the axis lengths before anything is
+// enumerated: a grid past maxGridPoints is rejected at a cost bounded by
+// the request itself.
 func (req SweepRequest) Configs() ([]soc.Config, error) {
 	if req.Search != nil {
 		return nil, errors.New("serve: search requests must be submitted as jobs (POST /jobs)")
@@ -536,27 +559,31 @@ func (req SweepRequest) Configs() ([]soc.Config, error) {
 	if req.Full {
 		opt = dse.FullAxes()
 	}
-	if len(req.Lanes) > 0 {
-		opt.Lanes = req.Lanes
+	override := func(axis *[]int, vals []int) {
+		if len(vals) > 0 {
+			*axis = unique(vals)
+		}
 	}
-	if len(req.Partitions) > 0 {
-		opt.Partitions = req.Partitions
-	}
-	if len(req.CacheKB) > 0 {
-		opt.CacheKB = req.CacheKB
-	}
-	if len(req.CacheLines) > 0 {
-		opt.CacheLines = req.CacheLines
-	}
-	if len(req.CachePorts) > 0 {
-		opt.CachePorts = req.CachePorts
-	}
-	if len(req.CacheAssoc) > 0 {
-		opt.CacheAssoc = req.CacheAssoc
-	}
+	override(&opt.Lanes, req.Lanes)
+	override(&opt.Partitions, req.Partitions)
+	override(&opt.CacheKB, req.CacheKB)
+	override(&opt.CacheLines, req.CacheLines)
+	override(&opt.CachePorts, req.CachePorts)
+	override(&opt.CacheAssoc, req.CacheAssoc)
 	kinds, err := req.fabricKinds()
 	if err != nil {
 		return nil, err
+	}
+	axes := [][]int{opt.Lanes, opt.Partitions}
+	if kind == soc.Cache {
+		axes = [][]int{opt.Lanes, opt.CacheKB, opt.CacheLines, opt.CachePorts, opt.CacheAssoc}
+	}
+	points := max(len(kinds), 1)
+	for _, a := range axes {
+		if len(a) > 0 && points > maxGridPoints/len(a) {
+			return nil, fmt.Errorf("serve: request expands to more than %d design points", maxGridPoints)
+		}
+		points *= len(a)
 	}
 	var cfgs []soc.Config
 	if kind == soc.Cache {
@@ -578,6 +605,23 @@ func (req SweepRequest) Configs() ([]soc.Config, error) {
 		return nil, errors.New("serve: request expands to an empty design grid")
 	}
 	return cfgs, nil
+}
+
+// budgeted applies the server's per-point watchdog budget to every config
+// that sets none. The budget then belongs to the point's key, as it does in
+// a search space: a point's outcome can depend on it.
+func (s *Server) budgeted(cfgs []soc.Config) []soc.Config {
+	if s.opt.PointBudget == 0 {
+		return cfgs
+	}
+	out := make([]soc.Config, len(cfgs))
+	for i, c := range cfgs {
+		if c.WatchdogTicks == 0 {
+			c.WatchdogTicks = s.opt.PointBudget
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // SweepResponse is the POST /sweep reply.
@@ -731,66 +775,22 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-// sweep resolves every grid point through the cache/singleflight layer,
-// waits for the outstanding ones, and assembles the response in request
-// order with aborted points compacted out — the dse.Sweep contract.
+// sweep runs the grid through dse.Sweep over the server's point cache: the
+// response keeps the dse.Sweep contract (request order, aborted points
+// compacted out, a genuine simulation error fails the request).
 func (s *Server) sweep(ctx context.Context, req SweepRequest, k *soc.Compiled, cfgs []soc.Config) (*SweepResponse, int, error) {
-	span := obs.SpanFromContext(ctx)
-	entries := make([]*entry, len(cfgs))
-	byKey := make(map[string]*entry, len(cfgs))
-	var uniq, joined []*entry
-	cached := 0
-	lookup := span.Child("cache-lookup")
-	for i, cfg := range cfgs {
-		key := dse.PointKey(req.Kernel, cfg)
-		if e, ok := byKey[key]; ok {
-			entries[i] = e // duplicate point within one request
-			continue
-		}
-		// Track i+1 gives each design point its own Perfetto row; track 0
-		// carries the request phases.
-		e, join, hit := s.acquire(key, k, cfg, span, i+1)
-		entries[i] = e
-		byKey[key] = e
-		uniq = append(uniq, e)
-		if join {
-			joined = append(joined, e)
-		}
-		if hit {
-			cached++
-		}
-	}
-	lookup.SetAttr("unique", len(uniq))
-	lookup.SetAttr("cached", cached)
-	lookup.EndSpan()
-	// Dropping the claims releases unstarted points for skipping whether we
-	// finish, time out, or the client disconnects.
-	defer s.release(joined)
-
-	await := span.Child("await-points")
+	await := obs.SpanFromContext(ctx).Child("await-points")
 	defer await.EndSpan()
-	for _, e := range uniq {
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			await.SetAttr("timeout", ctx.Err().Error())
+	view := s.view(req.Kernel)
+	space, err := dse.Sweep(obs.WithSpan(ctx, await), k, s.budgeted(cfgs),
+		dse.SweepOptions{Workers: s.opt.Workers, Cache: view, Retry: s.retry})
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			await.SetAttr("timeout", cerr.Error())
 			return nil, http.StatusGatewayTimeout,
-				fmt.Errorf("serve: sweep unfinished: %v", ctx.Err())
+				fmt.Errorf("serve: sweep unfinished: %v", cerr)
 		}
-	}
-
-	space := make(dse.Space, 0, len(cfgs))
-	aborted := 0
-	for i, cfg := range cfgs {
-		e := entries[i]
-		if e.err != nil {
-			return nil, http.StatusInternalServerError, e.err
-		}
-		if e.aborted {
-			aborted++
-			continue
-		}
-		space = append(space, dse.Point{Cfg: cfg, Res: e.res})
+		return nil, http.StatusInternalServerError, err
 	}
 
 	resp := &SweepResponse{
@@ -798,8 +798,8 @@ func (s *Server) sweep(ctx context.Context, req SweepRequest, k *soc.Compiled, c
 		Mem:             cfgs[0].Mem.String(),
 		RequestedPoints: len(cfgs),
 		EvaluatedPoints: len(space),
-		AbortedPoints:   aborted,
-		CachedPoints:    cached,
+		AbortedPoints:   len(cfgs) - len(space),
+		CachedPoints:    int(view.hits.Load()),
 		Pareto:          spaceRecords(req.Kernel, space.ParetoFront()),
 	}
 	if best, ok := space.EDPOptimal(); ok {
@@ -832,9 +832,10 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(machsuite.Names())
 }
 
-// Shutdown gracefully stops the service: new requests get 503, in-flight
-// sweeps drain (bounded by ctx), then the workers exit. On ctx expiry the
-// workers are still told to wind down, but stragglers are not awaited.
+// Shutdown gracefully stops the service: new requests get 503, running
+// jobs are interrupted (their manifests stay "running" for the next boot),
+// and in-flight sweeps drain, bounded by ctx. Every simulation runs in a
+// request or job goroutine, so once they drain nothing is left running.
 func (s *Server) Shutdown(ctx context.Context) error {
 	lg := s.opt.Logger
 	if lg != nil {
@@ -845,11 +846,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.mu.Unlock()
 
-	// Interrupt running jobs first: their goroutines release point claims,
-	// so workers skip the queued backlog via the abandon path instead of
-	// simulating it during drain. Job manifests stay "running" in the store
-	// — the resume signal for the next boot. Client-facing requests still
-	// drain normally below.
+	// Interrupt running jobs first: a cancelled job stops claiming points
+	// and its in-flight backoff sleeps end, so the drain waits only for
+	// simulations already running. Client-facing requests still drain
+	// normally below.
 	s.interruptJobs()
 
 	drained := make(chan struct{})
@@ -864,17 +864,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-
-	s.mu.Lock()
-	s.closing = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	if err == nil {
-		s.wgWorkers.Wait()
-	}
 	if lg != nil {
 		if err != nil {
-			lg.Warn("shutdown: drain timed out; workers abandoned", "err", err.Error())
+			lg.Warn("shutdown: drain timed out; stragglers abandoned", "err", err.Error())
 		} else {
 			lg.Info("shutdown complete",
 				"points_simulated", s.pointsSimulated.Load(),
@@ -887,20 +879,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Snapshot is a point-in-time copy of the service counters, for tests and
 // programmatic health checks.
 type Snapshot struct {
-	Requests, Rejected                              uint64
-	CacheHits, CacheMisses, WarmHits                uint64
-	PointsSimulated, PointsAborted, PointsAbandoned uint64
-	PointRetries                                    uint64
-	JobsSubmitted, JobsCompleted, JobsResumed       uint64
-	JobsFailed, JobsCancelled                       uint64
-	ActiveRequests, ActiveJobs                      int64
-	QueuedPoints, CacheEntries                      int
+	Requests, Rejected                        uint64
+	CacheHits, CacheMisses, WarmHits          uint64
+	PointsSimulated, PointsAborted            uint64
+	PointRetries                              uint64
+	JobsSubmitted, JobsCompleted, JobsResumed uint64
+	JobsFailed, JobsCancelled                 uint64
+	ActiveRequests, ActiveJobs                int64
+	QueuedPoints, CacheEntries                int
 }
 
 // Snapshot reads the counters.
 func (s *Server) Snapshot() Snapshot {
 	s.mu.Lock()
-	queued, entries := len(s.queue)-s.qhead, len(s.cache)
+	entries := len(s.cache)
 	s.mu.Unlock()
 	return Snapshot{
 		Requests:        s.requests.Load(),
@@ -910,7 +902,6 @@ func (s *Server) Snapshot() Snapshot {
 		WarmHits:        s.warmHits.Load(),
 		PointsSimulated: s.pointsSimulated.Load(),
 		PointsAborted:   s.pointsAborted.Load(),
-		PointsAbandoned: s.pointsAbandoned.Load(),
 		PointRetries:    s.pointRetries.Load(),
 		JobsSubmitted:   s.jobsSubmitted.Load(),
 		JobsCompleted:   s.jobsCompleted.Load(),
@@ -919,7 +910,7 @@ func (s *Server) Snapshot() Snapshot {
 		JobsCancelled:   s.jobsCancelled.Load(),
 		ActiveRequests:  s.activeRequests.Load(),
 		ActiveJobs:      s.activeJobs.Load(),
-		QueuedPoints:    queued,
+		QueuedPoints:    int(s.waiting.Load()),
 		CacheEntries:    entries,
 	}
 }

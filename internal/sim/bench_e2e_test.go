@@ -35,7 +35,7 @@ func benchRun(b *testing.B, bench string, mem soc.MemKind) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := soc.RunGraph(g, cfg)
+		res, err := soc.Run(soc.Compile(g), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func TestAllKernelsAllMemorySystems(t *testing.T) {
 			for _, kind := range []MemKind{Isolated, DMA, Cache} {
 				cfg := DefaultConfig()
 				cfg.Mem = kind
-				r, err := RunGraph(g, cfg)
+				r, err := Run(Compile(g), cfg)
 				if err != nil {
 					t.Fatalf("%v: %v", kind, err)
 				}
@@ -84,7 +84,7 @@ func TestPaperShapeDataMovementBound(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Lanes, cfg.Partitions = 16, 16
 		cfg.PipelinedDMA, cfg.DMATriggered = false, false
-		r, err := RunGraph(g, cfg)
+		r, err := Run(Compile(g), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestPaperShapeMdKnnOverlap(t *testing.T) {
 	g := kernelGraph(t, "md-knn")
 	cfg := DefaultConfig()
 	cfg.Lanes, cfg.Partitions = 4, 4
-	r, err := RunGraph(g, cfg)
+	r, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,24 +135,24 @@ func TestPaperShapeFFTTriggeredIneffective(t *testing.T) {
 	base := DefaultConfig()
 	base.Lanes, base.Partitions = 4, 4
 	base.DMATriggered = false
-	r0, err := RunGraph(g, base)
+	r0, err := Run(Compile(g), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trig := base
 	trig.DMATriggered = true
-	r1, err := RunGraph(g, trig)
+	r1, err := Run(Compile(g), trig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gain := float64(r0.Runtime-r1.Runtime) / float64(r0.Runtime)
 	// stencil2d, by contrast, gains a lot.
 	g2 := kernelGraph(t, "stencil-stencil2d")
-	s0, err := RunGraph(g2, base)
+	s0, err := Run(Compile(g2), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := RunGraph(g2, trig)
+	s1, err := Run(Compile(g2), trig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestPaperShapeSerialKernelNoSpeedup(t *testing.T) {
 	g := kernelGraph(t, "nw-nw")
 	cfg := DefaultConfig()
 	cfg.Lanes, cfg.Partitions = 1, 1
-	r1, err := RunGraph(g, cfg)
+	r1, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Lanes, cfg.Partitions = 16, 16
-	r16, err := RunGraph(g, cfg)
+	r16, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 func TestRunMultiSingleMatchesRun(t *testing.T) {
 	g := streamKernel(256)
 	cfg := DefaultConfig()
-	solo, err := RunGraph(g, cfg)
+	solo, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestRunMultiSingleMatchesRun(t *testing.T) {
 func TestRunMultiContention(t *testing.T) {
 	g := streamKernel(2048)
 	cfg := DefaultConfig()
-	solo, err := RunGraph(g, cfg)
+	solo, err := Run(Compile(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestRunMultiWithBackgroundTraffic(t *testing.T) {
 func TestCoherentDMAEndToEnd(t *testing.T) {
 	g := streamKernel(2048)
 	sw := DefaultConfig()
-	swRes, err := RunGraph(g, sw)
+	swRes, err := Run(Compile(g), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hw := DefaultConfig()
 	hw.CoherentDMA = true
-	hwRes, err := RunGraph(g, hw)
+	hwRes, err := Run(Compile(g), hw)
 	if err != nil {
 		t.Fatal(err)
 	}

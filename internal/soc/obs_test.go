@@ -16,7 +16,7 @@ func observedRun(t *testing.T, cfg Config) (text, jsonDump, trace []byte) {
 	g := streamKernel(512)
 	o := obs.New(true)
 	cfg.Obs = o
-	if _, err := RunGraph(g, cfg); err != nil {
+	if _, err := Run(Compile(g), cfg); err != nil {
 		t.Fatal(err)
 	}
 	var tb, jb, trb bytes.Buffer

@@ -40,7 +40,7 @@ func runnerConfigs() map[string]Config {
 // artifact through every MachSuite kernel under DMA and cache memory systems
 // (faults off and seeded on) and requires every result — cycles, energy,
 // EDP, per-block stats, fault log — to be bit-identical to a fresh
-// per-point RunGraph (compile-per-run) of the same design point. This is
+// compile-and-run, Run(Compile(g), cfg), of the same design point. This is
 // both reuse contracts at once: recycled engine, coherence, and datapath
 // state must never leak between runs, and nothing in the shared artifact
 // may be mutated by a run.
@@ -56,7 +56,7 @@ func TestRunnerBitIdentical(t *testing.T) {
 		for label, cfg := range runnerConfigs() {
 			t.Run(name+"/"+label, func(t *testing.T) {
 				pooled, errP := r.Run(k, cfg)
-				fresh, errF := RunGraph(g, cfg)
+				fresh, errF := Run(Compile(g), cfg)
 				if (errP == nil) != (errF == nil) {
 					t.Fatalf("error mismatch: pooled %v, fresh %v", errP, errF)
 				}
@@ -67,7 +67,7 @@ func TestRunnerBitIdentical(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(pooled, fresh) {
-					t.Fatalf("pooled Runner result diverged from fresh RunGraph:\npooled: %+v\nfresh:  %+v", pooled, fresh)
+					t.Fatalf("pooled Runner result diverged from fresh compile-and-run:\npooled: %+v\nfresh:  %+v", pooled, fresh)
 				}
 			})
 		}

@@ -771,13 +771,6 @@ func Run(k *Compiled, cfg Config) (*RunResult, error) {
 	return r.Run(k, cfg)
 }
 
-// RunGraph compiles g and executes one invocation under cfg — the
-// pre-artifact path. Callers evaluating more than one design point should
-// Compile once and pass the artifact to Run.
-func RunGraph(g *ddg.Graph, cfg Config) (*RunResult, error) {
-	return Run(Compile(g), cfg)
-}
-
 // ProfileRun is the one-shot form of Runner.ProfileRun.
 func ProfileRun(k *Compiled, cfg Config) (*RunResult, obs.Attribution, error) {
 	var r Runner
@@ -1025,5 +1018,5 @@ func computeArea(pm *power.Model, cfg Config, g *ddg.Graph, sp *spad.Spad) float
 // first. Prefer Build + Compile + Run when sweeping many configs over one
 // kernel.
 func RunTrace(tr *trace.Trace, cfg Config) (*RunResult, error) {
-	return RunGraph(ddg.Build(tr), cfg)
+	return Run(Compile(ddg.Build(tr)), cfg)
 }

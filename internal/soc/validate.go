@@ -36,9 +36,9 @@ const (
 )
 
 // Validate checks a configuration for impossible design points and returns
-// a *ConfigError naming the offending field, or nil. Run, RunGraph,
-// RunMulti, and RunRepeated all call it before constructing any hardware,
-// so a bad parameter surfaces as a typed error at the API boundary rather
+// a *ConfigError naming the offending field, or nil. Run, RunMulti, and
+// RunRepeated all call it before constructing any hardware, so a bad
+// parameter surfaces as a typed error at the API boundary rather
 // than a panic deep inside bus or DRAM wiring; the CLIs call it right
 // after flag parsing for the same reason.
 func (c Config) Validate() error {

@@ -115,7 +115,7 @@ func TestRunRejectsImpossibleConfig(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		breakIt(&cfg)
-		_, err := RunGraph(g, cfg)
+		_, err := Run(Compile(g), cfg)
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
 			t.Fatalf("Run(%+v) = %v, want *ConfigError", cfg, err)
